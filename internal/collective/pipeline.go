@@ -188,6 +188,20 @@ func chunkCapable[V any](ops Ops[V]) bool {
 		ops.MakeSegment != nil && ops.DecodeChunkInto != nil
 }
 
+// ChunkStride returns the per-element payload size of ops' chunk
+// encoding when ops supply the full chunk fast path, and 0 otherwise.
+// A non-linear chunk encoding cannot be resegmented by byte ranges, so
+// it also reports 0: callers then use whole-segment frames.
+func ChunkStride[V any](ops Ops[V]) int {
+	if !chunkCapable(ops) {
+		return 0
+	}
+	if s := ops.ChunkEncodedSize(1); s > 0 && ops.ChunkEncodedSize(2) == 2*s {
+		return s
+	}
+	return 0
+}
+
 // frame is one parsed incoming ring frame: a whole-segment legacy frame
 // (chunked=false) or one chunk of a pipelined train.
 type frame struct {
@@ -278,15 +292,8 @@ func (rc *ringChan[V]) init(e *comm.Endpoint, ops Ops[V], ch int, epoch uint32, 
 	rc.tel = tel
 	rc.cores = cores
 	rc.next = e.Next()
-	if chunkCapable(ops) {
-		rc.stride = ops.ChunkEncodedSize(1)
-		if rc.stride > 0 && ops.ChunkEncodedSize(2) == 2*rc.stride {
-			rc.chunkBytes = chunkBytes
-		} else {
-			// A non-linear chunk encoding cannot be resegmented by byte
-			// ranges; fall back to whole-segment frames.
-			rc.stride = 0
-		}
+	if rc.stride = ChunkStride(ops); rc.stride > 0 {
+		rc.chunkBytes = chunkBytes
 	}
 	if rc.stride == 8 {
 		// Compressed frames are always float64-element chunks; the view

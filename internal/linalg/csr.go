@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -61,12 +62,25 @@ type CSRMatrix struct {
 	segWorkers int
 	segBounds  []int32
 
-	// cached column-major (CSC) view for the full-batch scatter phase
-	// (see cscView).
+	// cached column-major (CSC) view over the non-empty columns, for
+	// the full-batch scatter phase (see cscView).
 	cscOnce sync.Once
-	cscOffs []int64
-	cscRows []int32
-	cscVals []float64
+	csc     cscView
+}
+
+// cscView is the column-major form of a CSRMatrix restricted to its
+// non-empty columns: column cols[p]'s entries live at rows/vals
+// [offs[p], offs[p+1]), rows strictly ascending. Storing only the
+// columns a partition touches makes the view — and every scatter pass
+// that walks it — O(nnz) in time and memory instead of O(dim): a
+// high-dimensional sparse partition (kdd10: 1M columns, ~14% touched
+// per partition) no longer pays an 8-byte offset and a skip per empty
+// column.
+type cscView struct {
+	cols []int32 // ascending ids of the non-empty columns
+	offs []int64 // len(cols)+1 entry offsets
+	rows []int32
+	vals []float64
 }
 
 // Rows returns the row count.
@@ -346,44 +360,75 @@ func (m *CSRMatrix) colSegments(workers int) []int32 {
 	return bounds
 }
 
-// cscView returns the cached column-major view of the matrix:
-// offs[j]..offs[j+1] bound column j's entries in rows/vals, with rows
-// strictly ascending within each column. Because row order within a
-// column IS the sequential fold order of cum[j]'s additions, a scatter
-// worker that owns a column range and walks this view reproduces the
-// sequential accumulation chain of every element it owns bit for bit —
-// while touching only its own entries, instead of scanning every row
-// for per-row segments. Built once per matrix (counting sort, O(nnz +
-// dim)); iterations 2..N reuse it. Callers must not mutate the result.
-func (m *CSRMatrix) cscView() (offs []int64, rows []int32, vals []float64) {
+// cscView returns the cached column-major view of the matrix over its
+// non-empty columns. Because row order within a column IS the
+// sequential fold order of cum[j]'s additions, a scatter worker that
+// owns a column range and walks this view reproduces the sequential
+// accumulation chain of every element it owns bit for bit — while
+// touching only its own entries, instead of scanning every row for
+// per-row segments. Built once per matrix by a counting sort (one
+// transient dim-sized cursor array; the cached view itself is O(nnz));
+// iterations 2..N reuse it. Callers must not mutate the result.
+// Requires NNZ() <= MaxInt32 (the kernels fall back to the sequential
+// path beyond that).
+func (m *CSRMatrix) cscView() *cscView {
 	m.cscOnce.Do(func() {
 		dim := m.Dim
 		if dim < 1 {
 			dim = 1
 		}
-		co := make([]int64, dim+1)
+		// cursor[j] first counts column j's entries, then becomes the
+		// next free slot of column j in rows/vals.
+		cursor := make([]int32, dim)
+		nCols := 0
 		for _, ix := range m.Indices {
-			co[ix+1]++
+			if cursor[ix] == 0 {
+				nCols++
+			}
+			cursor[ix]++
 		}
-		for j := 0; j < dim; j++ {
-			co[j+1] += co[j]
+		cols := make([]int32, 0, nCols)
+		offs := make([]int64, 1, nCols+1)
+		var next int32
+		for j, c := range cursor {
+			if c > 0 {
+				cols = append(cols, int32(j))
+				cursor[j] = next
+				next += c
+				offs = append(offs, int64(next))
+			}
 		}
-		cr := make([]int32, len(m.Indices))
-		cv := make([]float64, len(m.Indices))
-		next := append([]int64(nil), co[:dim]...)
+		rows := make([]int32, len(m.Indices))
+		vals := make([]float64, len(m.Indices))
 		nr := m.Rows()
 		for r := 0; r < nr; r++ {
 			for k := m.RowOffsets[r]; k < m.RowOffsets[r+1]; k++ {
 				j := m.Indices[k]
-				p := next[j]
-				next[j] = p + 1
-				cr[p] = int32(r)
-				cv[p] = m.Values[k]
+				p := cursor[j]
+				cursor[j] = p + 1
+				rows[p] = int32(r)
+				vals[p] = m.Values[k]
 			}
 		}
-		m.cscOffs, m.cscRows, m.cscVals = co, cr, cv
+		m.csc = cscView{cols: cols, offs: offs, rows: rows, vals: vals}
 	})
-	return m.cscOffs, m.cscRows, m.cscVals
+	return &m.csc
+}
+
+// cscCutsInto fills dst with workers+1 cuts over the CSC view's column
+// list: shard s owns view positions [dst[s], dst[s+1]), exactly the
+// non-empty columns inside colCutsInto's nnz-balanced dimension range
+// [cuts[s], cuts[s+1]). Same ownership as the dimension-space cuts, so
+// deterministic given (m, workers). O(workers·log nnz) and
+// allocation-free once dst has capacity.
+func (m *CSRMatrix) cscCutsInto(dst []int32, workers int) []int32 {
+	cols := m.cscView().cols
+	dst = m.colCutsInto(dst, workers)
+	for s, c := range dst {
+		p, _ := slices.BinarySearch(cols, c) // first column >= c
+		dst[s] = int32(p)
+	}
+	return dst
 }
 
 // rowCutsInto fills dst with workers+1 row boundaries over row space

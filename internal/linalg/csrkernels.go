@@ -17,10 +17,10 @@ package linalg
 //     column range, so each cum[j] still receives its contributions in
 //     exactly the sequential order — sharding decides only which core
 //     executes a chain, never the order within it. Full-batch passes
-//     walk the matrix's cached CSC view (entries grouped by column,
-//     ascending row order within a column — the fold order), so phase
-//     B is O(nnz + dim) total; sampled passes walk per-row segment
-//     bounds instead.
+//     walk the matrix's cached CSC view (entries grouped by non-empty
+//     column, ascending row order within a column — the fold order),
+//     so phase B is O(nnz) total, however wide the dimension; sampled
+//     passes walk per-row segment bounds instead.
 //
 // Per-core partial accumulators merged afterwards would NOT have this
 // property (float addition is not associative across a shard
@@ -124,8 +124,7 @@ func CSRGrad(kind CSRGradKind, m *CSRMatrix, rows []int32, w, cum []float64, wor
 	// nnz-balanced column range; sampled passes fall back to the
 	// per-row segment bounds (the CSC view has no cheap row filter).
 	if rows == nil {
-		m.cscView()
-		sc.colCuts = m.colCutsInto(sc.colCuts, workers)
+		sc.colCuts = m.cscCutsInto(sc.colCuts, workers)
 		ParallelFor(workers, workers, sc.cscScatterBody)
 	} else {
 		sc.segBounds = m.colSegments(workers)
@@ -168,8 +167,7 @@ func CSRKMeans(m *CSRMatrix, centers, cNorms []float64, k, dim int, acc []float6
 		acc[k*dim+k] += dist[i]
 	}
 	// Phase B: column-sharded sum scatter over the CSC view.
-	m.cscView()
-	sc.colCuts = m.colCutsInto(sc.colCuts, workers)
+	sc.colCuts = m.cscCutsInto(sc.colCuts, workers)
 	ParallelFor(workers, workers, sc.cscKMScatterBody)
 	putCSRScratch(sc)
 }
@@ -198,7 +196,7 @@ type csrScratch struct {
 	best    []int32
 	dist    []float64
 	rowCuts []int
-	colCuts []int32
+	colCuts []int32 // CSC view position cuts (cscCutsInto)
 
 	// pinned call state read by the shard bodies
 	kind      CSRGradKind
@@ -493,18 +491,19 @@ func csrSumRow(idx []int32, vals, acc []float64, base int, s, e int64) {
 // full-batch pass by walking the CSC view: each owned column's entries
 // arrive in ascending row order — exactly the sequential fold order of
 // that element's additions — and the worker reads nothing outside its
-// own entry range, so phase B's total work is O(nnz + dim) across all
-// workers instead of O(workers × rows) row scans.
+// own entry range. The view lists only non-empty columns, so phase B's
+// total work is O(nnz) across all workers, independent of the
+// dimension and of the shard count.
 func (sc *csrScratch) runCSCScatter(lo, hi int) {
-	offs, rows, vals := sc.m.cscView()
+	v := sc.m.cscView()
 	mult, cum := sc.mult, sc.cum
 	hinge := sc.kind == CSRHinge
 	for s := lo; s < hi; s++ {
-		cscLaneScatter(offs, rows, vals, mult, cum, int(sc.colCuts[s]), int(sc.colCuts[s+1]), hinge)
+		cscLaneScatter(v, mult, cum, int(sc.colCuts[s]), int(sc.colCuts[s+1]), hinge)
 	}
 }
 
-// cscLaneScatter folds the columns [j0, j1) into cum. A column's
+// cscLaneScatter folds the view positions [p0, p1) into cum. A column's
 // additions are one dependent FP-add chain (the price of exact
 // sequential order), so a heavy column alone runs at add latency — and
 // power-law heads stack several heavy columns of very unequal lengths
@@ -517,32 +516,35 @@ func (sc *csrScratch) runCSCScatter(lo, hi int) {
 // Each column is still folded by exactly one lane strictly in
 // ascending row order, so the result stays bitwise identical to the
 // sequential pass.
-func cscLaneScatter(offs []int64, rows []int32, vals, mult, cum []float64, j0, j1 int, hinge bool) {
+func cscLaneScatter(v *cscView, mult, cum []float64, p0, p1 int, hinge bool) {
 	const lanes = 4
 	// Block size balances per-block loop overhead against keeping all
 	// four chains inside the out-of-order window at once.
 	const block = 16
-	if j0 >= j1 || offs[j1] == offs[j0] {
+	if p0 >= p1 {
 		return
 	}
-	total := offs[j1] - offs[j0]
+	cols, offs := v.cols, v.offs
+	total := offs[p1] - offs[p0]
 	var cut [lanes + 1]int
-	cut[0], cut[lanes] = j0, j1
-	j := j0
+	cut[0], cut[lanes] = p0, p1
+	p := p0
 	for l := 1; l < lanes; l++ {
-		target := offs[j0] + total*int64(l)/lanes
-		for j < j1 && offs[j] < target {
-			j++
+		target := offs[p0] + total*int64(l)/lanes
+		for p < p1 && offs[p] < target {
+			p++
 		}
-		cut[l] = j
+		cut[l] = p
 	}
-	var colJ [lanes]int
+	// Lane l folds view position colP[l]; a lane with no columns parks
+	// with pos == end so the round-robin skips it.
+	var colP [lanes]int
 	var pos, end [lanes]int64
 	var acc [lanes]float64
 	live := 0
 	for l := 0; l < lanes; l++ {
-		colJ[l] = cut[l]
-		if laneLoad(offs, cum, &colJ[l], cut[l+1], &pos[l], &end[l], &acc[l]) {
+		if q := cut[l]; q < cut[l+1] {
+			colP[l], pos[l], end[l], acc[l] = q, offs[q], offs[q+1], cum[cols[q]]
 			live++
 		}
 	}
@@ -556,32 +558,18 @@ func cscLaneScatter(offs []int64, rows []int32, vals, mult, cum []float64, j0, j
 			if b > e {
 				b = e
 			}
-			acc[l] = cscColFold(rows, vals, mult, acc[l], p, b, hinge)
+			acc[l] = cscColFold(v.rows, v.vals, mult, acc[l], p, b, hinge)
 			pos[l] = b
 			if b == e {
-				cum[colJ[l]] = acc[l]
-				colJ[l]++
-				if !laneLoad(offs, cum, &colJ[l], cut[l+1], &pos[l], &end[l], &acc[l]) {
+				cum[cols[colP[l]]] = acc[l]
+				if q := colP[l] + 1; q < cut[l+1] {
+					colP[l], pos[l], end[l], acc[l] = q, offs[q], offs[q+1], cum[cols[q]]
+				} else {
 					live--
 				}
 			}
 		}
 	}
-}
-
-// laneLoad advances *colJ to the lane's next non-empty column before
-// endCol and loads its entry range and running accumulator. It reports
-// whether the lane still has work; a drained lane parks with pos ==
-// end so the round-robin skips it.
-func laneLoad(offs []int64, cum []float64, colJ *int, endCol int, pos, end *int64, acc *float64) bool {
-	for j := *colJ; j < endCol; j++ {
-		if a, b := offs[j], offs[j+1]; a < b {
-			*colJ, *pos, *end, *acc = j, a, b, cum[j]
-			return true
-		}
-	}
-	*colJ, *pos, *end = endCol, 0, 0
-	return false
 }
 
 // cscColFold folds one column's entries [a, b) into acc in row order.
@@ -728,18 +716,19 @@ func (sc *csrScratch) assignRange(lo, hi int) {
 
 // runCSCKMScatter accumulates the per-center sums for the column
 // shards [lo, hi) over the CSC view: acc[best[r]·dim + j] += v for
-// owned columns j. Entries within a column arrive in ascending row
+// owned non-empty columns j. Entries within a column arrive in ascending row
 // order, so each accumulator cell — a (center, column) pair, written
 // only by the worker owning that column — receives its additions as
 // the row-order subsequence the sequential fold would produce.
 func (sc *csrScratch) runCSCKMScatter(lo, hi int) {
-	offs, rows, vals := sc.m.cscView()
+	v := sc.m.cscView()
 	best := sc.best
 	acc, dim := sc.acc, sc.dim
 	for s := lo; s < hi; s++ {
-		for j := int(sc.colCuts[s]); j < int(sc.colCuts[s+1]); j++ {
-			a, b := offs[j], offs[j+1]
-			rr, vv := rows[a:b], vals[a:b:b]
+		for p := int(sc.colCuts[s]); p < int(sc.colCuts[s+1]); p++ {
+			j := int(v.cols[p])
+			a, b := v.offs[p], v.offs[p+1]
+			rr, vv := v.rows[a:b], v.vals[a:b:b]
 			for t, r := range rr {
 				acc[int(best[r])*dim+j] += vv[t]
 			}

@@ -249,6 +249,128 @@ func TestCSRKMeansBitwise(t *testing.T) {
 	}
 }
 
+// sparseColsCSR builds a labeled matrix whose entries fall only in the
+// columns cols (each row takes a random subset, ascending), so the
+// caller controls how many — and which — columns are non-empty.
+func sparseColsCSR(rng *rand.Rand, rows, dim int, cols []int32, density float64) *CSRMatrix {
+	b := NewCSRBuilder(dim, rows, 0)
+	for r := 0; r < rows; r++ {
+		b.StartRow(float64(rng.Intn(2)))
+		for _, j := range cols {
+			if rng.Float64() < density {
+				if err := b.AppendEntry(j, rng.NormFloat64()); err != nil {
+					panic(err)
+				}
+			}
+		}
+	}
+	m, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// TestCSRCompressedViewBitwise gates the CSC view over non-empty
+// columns: for shapes that stress the compression (mostly-empty wide
+// dimensions, shards and lanes that own no column, no entries at all,
+// every column present), the full-batch gradient and KMeans kernels
+// must equal the fused sequential passes bit for bit at every worker
+// count, and the view must list exactly the distinct columns.
+func TestCSRCompressedViewBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const dim = 20000
+	var wide []int32 // ~5% of a wide dimension, scattered
+	for j := 0; j < dim; j++ {
+		if rng.Intn(20) == 0 {
+			wide = append(wide, int32(j))
+		}
+	}
+	all := make([]int32, 48)
+	for j := range all {
+		all[j] = int32(j)
+	}
+	cases := []struct {
+		name string
+		m    *CSRMatrix
+	}{
+		// dim >> nnz: >= 90% of the columns are empty.
+		{"wide", sparseColsCSR(rng, 300, dim, wide, 0.01)},
+		// Mass in the first and last column only: the nnz-balanced
+		// dimension cuts leave whole shards (and most lanes) with no
+		// non-empty column.
+		{"ends", sparseColsCSR(rng, 200, dim, []int32{0, dim - 1}, 0.7)},
+		// Rows but no nonzeros.
+		{"empty", sparseColsCSR(rng, 100, dim, nil, 1)},
+		// Every column present (the avazu shape): the view is the
+		// identity mapping.
+		{"all", sparseColsCSR(rng, 300, len(all), all, 0.6)},
+	}
+	for _, c := range cases {
+		m := c.m
+		distinct := map[int32]bool{}
+		for _, ix := range m.Indices {
+			distinct[ix] = true
+		}
+		if v := m.cscView(); len(v.cols) != len(distinct) || len(v.offs) != len(v.cols)+1 {
+			t.Fatalf("%s: view lists %d columns (%d offsets), want %d distinct",
+				c.name, len(v.cols), len(v.offs), len(distinct))
+		}
+		switch c.name {
+		case "wide":
+			if empty := 1 - float64(len(distinct))/float64(m.Dim); empty < 0.9 {
+				t.Fatalf("wide: only %.0f%% of columns empty", 100*empty)
+			}
+		case "ends":
+			cuts := m.cscCutsInto(nil, 4)
+			idle := 0
+			for s := 0; s < 4; s++ {
+				if cuts[s] == cuts[s+1] {
+					idle++
+				}
+			}
+			if idle == 0 {
+				t.Fatalf("ends: cuts %v leave no shard empty", cuts)
+			}
+		case "all":
+			if len(distinct) != m.Dim {
+				t.Fatalf("all: %d of %d columns present", len(distinct), m.Dim)
+			}
+		}
+		w := make([]float64, m.Dim)
+		for i := range w {
+			w[i] = rng.NormFloat64()
+		}
+		for _, kc := range csrKernelKinds {
+			refCum := make([]float64, m.Dim)
+			refLoss := csrGradSeq(kc.kind, m, nil, w, refCum)
+			for workers := 1; workers <= 4; workers++ {
+				cum := make([]float64, m.Dim)
+				loss, count := CSRGrad(kc.kind, m, nil, w, cum, workers)
+				if math.Float64bits(loss) != math.Float64bits(refLoss) || count != float64(m.Rows()) {
+					t.Fatalf("%s %s w%d: loss/count %v/%v want %v/%d",
+						c.name, kc.name, workers, loss, count, refLoss, m.Rows())
+				}
+				bitsEqual(t, c.name+"/"+kc.name+"/cum", cum, refCum)
+			}
+		}
+		const k = 3
+		centers := make([]float64, k*m.Dim)
+		for i := range centers {
+			centers[i] = rng.NormFloat64()
+		}
+		cNorms := make([]float64, k)
+		CSRKMeansCenterNorms(centers, k, m.Dim, cNorms)
+		ref := make([]float64, k*m.Dim+k+1)
+		csrKMeansSeq(m, centers, cNorms, k, m.Dim, ref)
+		for workers := 1; workers <= 4; workers++ {
+			acc := make([]float64, len(ref))
+			CSRKMeans(m, centers, cNorms, k, m.Dim, acc, workers)
+			bitsEqual(t, c.name+"/kmeans", acc, ref)
+		}
+	}
+}
+
 // TestPackedKernelOverhead is the `make overhead` gate: steady-state
 // fused gradient iterations allocate nothing, sequential or sharded.
 func TestPackedKernelOverhead(t *testing.T) {

@@ -195,6 +195,11 @@ func (f64MatrixCodec) Decode(src []byte) (any, int, error) {
 	}
 	rows := int(binary.LittleEndian.Uint32(src))
 	off := 4
+	// Every row carries at least its 4-byte header, so a count the body
+	// cannot hold is corrupt — reject it before sizing the allocation.
+	if rows > (len(src)-off)/4 {
+		return nil, 0, fmt.Errorf("serde: corrupt [][]float64 row count %d (%d body bytes)", rows, len(src)-off)
+	}
 	out := make([][]float64, rows)
 	for i := 0; i < rows; i++ {
 		if len(src) < off+4 {

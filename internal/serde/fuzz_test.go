@@ -19,6 +19,12 @@ func FuzzDecode(f *testing.F) {
 	if b, err := Encode(nil, "hello"); err == nil {
 		seeds = append(seeds, b)
 	}
+	if b, err := Encode(nil, [][]float64{{1}}); err == nil {
+		// [][]float64 whose row count claims far more rows than the
+		// body holds: must fail before allocating for them.
+		b[4], b[5], b[6], b[7] = 0x30, 0x30, 0x30, 0x30
+		seeds = append(seeds, b)
+	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
