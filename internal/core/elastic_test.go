@@ -9,6 +9,7 @@ package core
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -178,4 +179,57 @@ func TestChaosElasticRetryClassification(t *testing.T) {
 	t.Logf("elastic retries: %d, ring fallbacks: %d",
 		ctx.Metrics().Count(metrics.CounterElasticRetry),
 		ctx.Metrics().Count(metrics.CounterRingFallback))
+}
+
+// TestChaosElasticLossBetweenStages kills an executor after its IMM
+// task merged and lets the eviction install before the ring stage is
+// planned. The ring over the survivors then runs cleanly, but the dead
+// executor's aggregator — and its partition — is gone, so the result
+// must be discarded and the collective re-run whole, never returned
+// short by that partition.
+func TestChaosElasticLossBetweenStages(t *testing.T) {
+	const samples, dim, parts = 30, 8, 3
+	ctx := testContext(t, parts, 1)
+	r := vectorRDD(ctx, samples, parts)
+	want := expectedVector(samples, dim)
+
+	// Partition 0's first sample holds the IMM stage open until the kill
+	// of partition 2's executor has installed a new epoch; partition 2's
+	// last sample announces that its fold is done.
+	release, folded := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	fns := vecFuncs(dim)
+	fns.SeqOp = func(acc []float64, v int64) []float64 {
+		switch v {
+		case 0:
+			<-release
+		case samples - 1:
+			once.Do(func() { close(folded) })
+		}
+		return vecSeqOp(acc, v)
+	}
+	go func() {
+		defer close(release)
+		<-folded
+		// Let partition 2's task finish merging and report; killing it
+		// earlier only makes the scheduler rerun it on a survivor.
+		time.Sleep(100 * time.Millisecond)
+		e0 := ctx.MembershipEpoch()
+		if err := ctx.KillExecutor(parts - 1); err != nil {
+			t.Errorf("kill: %v", err)
+			return
+		}
+		if !ctx.AwaitReconfigured(e0, 10*time.Second) {
+			t.Error("kill never installed a new epoch")
+		}
+	}()
+
+	got, err := Aggregate(context.Background(), r, fns, WithDeadline(500*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireExact(t, got, want)
+	if n := ctx.Metrics().Count(metrics.CounterElasticRetry); n < 1 {
+		t.Fatalf("elastic retries = %d, want the short collective retried", n)
+	}
 }

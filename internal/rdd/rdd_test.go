@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"sparker/internal/serde"
 )
 
 func testContext(t *testing.T, execs, cores int) *Context {
@@ -436,6 +438,41 @@ func TestTreeAggregateCleansBlocks(t *testing.T) {
 		if p[0] != 0 {
 			t.Fatalf("executor %d leaked %d shuffle blocks", i, p[0])
 		}
+	}
+}
+
+func TestMergeDecoded(t *testing.T) {
+	var zeros, merges int
+	zero := func() []float64 { zeros++; return make([]float64, 2) }
+	merge := func(a, b []float64) []float64 {
+		merges++
+		for i := range a {
+			a[i] += b[i]
+		}
+		return a
+	}
+	enc := func(v any) []byte { return serde.MustEncode(nil, v) }
+	wires := [][]byte{enc([]float64{1, 2}), enc([]float64{10, 20}), enc([]float64{100, 200})}
+	got, err := MergeDecoded(len(wires), func(i int) ([]byte, error) { return wires[i], nil }, zero, merge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, []float64{111, 222}) || zeros != 0 || merges != 2 {
+		t.Fatalf("got %v with %d Zero and %d MergeOp calls, want [111 222], 0 and 2", got, zeros, merges)
+	}
+	if got, err := MergeDecoded(0, nil, zero, merge); err != nil || len(got) != 2 || zeros != 1 {
+		t.Fatalf("n=0: got %v, %v with %d Zero calls, want a fresh zero", got, err, zeros)
+	}
+	// A frame of the wrong type is an error at any position, not a panic.
+	for bad := 0; bad < 2; bad++ {
+		wires := [][]byte{enc([]float64{1, 2}), enc([]float64{1, 2})}
+		wires[bad] = enc("not an aggregator")
+		if _, err := MergeDecoded(2, func(i int) ([]byte, error) { return wires[i], nil }, zero, merge); err == nil {
+			t.Fatalf("wrong-typed frame %d accepted", bad)
+		}
+	}
+	if _, err := MergeDecoded(1, func(int) ([]byte, error) { return nil, fmt.Errorf("fetch failed") }, zero, merge); err == nil {
+		t.Fatal("fetch error swallowed")
 	}
 }
 
