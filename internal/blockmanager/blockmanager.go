@@ -498,7 +498,12 @@ func (s *Store) DeletePrefix(prefix string) int {
 	return n
 }
 
-// FetchFrom retrieves a block directly from the named store.
+// FetchFrom retrieves a block directly from the named store. A remote
+// block is returned as a sub-slice of the response frame: Recv hands
+// the caller a frame nobody else holds (a fresh pool draw on TCP, the
+// serving store's freshly built frame in memory), so the bytes are the
+// caller's without a second copy. A local block is the stored slice
+// itself.
 func (s *Store) FetchFrom(owner, id string) (block []byte, err error) {
 	if inst := s.inst.Load(); inst != nil {
 		start := time.Now()
@@ -524,10 +529,7 @@ func (s *Store) FetchFrom(owner, id string) (block []byte, err error) {
 		return nil, fmt.Errorf("blockmanager: block %s not found at %s", id, owner)
 	}
 	b, _, err := readBytes(resp[1:])
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), b...), nil
+	return b, err
 }
 
 // Get resolves a block's location through the master, then fetches it.

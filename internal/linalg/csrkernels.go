@@ -85,39 +85,24 @@ func CSRGrad(kind CSRGradKind, m *CSRMatrix, rows []int32, w, cum []float64, wor
 	if workers > maxParallelWorkers {
 		workers = maxParallelWorkers
 	}
-	// Full-batch passes take the two-phase path even at one worker: the
-	// CSC scatter streams its entries contiguously with the accumulator
-	// in a register, which beats the fused pass's random cum[idx] writes
-	// once the batch is large — and with workers == 1 ParallelFor is a
-	// plain call, so there is no pool traffic to pay for. Sampled
-	// subsets and small batches keep the fused single pass.
-	if n < csrParallelMinRows || m.NNZ() > math.MaxInt32 || (workers <= 1 && rows != nil) {
+	// One worker takes the fused single pass, full batch included: it
+	// sweeps each row once, and it never builds the CSC view, so a
+	// one-core executor keeps one copy of its partition. Small batches
+	// take it too — pool dispatch would cost more than it saves.
+	if workers <= 1 || n < csrParallelMinRows || m.NNZ() > math.MaxInt32 {
 		return csrGradSeq(kind, m, rows, w, cum), float64(n)
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	sc := getCSRScratch(n)
 	sc.kind, sc.m, sc.rows, sc.w, sc.cum = kind, m, rows, w, cum
 	sc.n = n
-	if workers == 1 {
-		// One worker covers the whole batch in row order, so the loss
-		// can fold inline with the margin pass — same order as the
-		// scalar fold's acc[dim] += loss per point — instead of taking
-		// a round-trip through the loss array (an extra 2n×8 bytes of
-		// traffic per pass).
-		lossSum = sc.marginRangeFold(0, n)
-	} else {
-		sc.rowCuts = m.rowCutsInto(sc.rowCuts, rows, n, workers)
-		// Phase A: per-row multiplier + loss, row-sharded. Every per-row
-		// value is independent of the sharding.
-		ParallelFor(workers, workers, sc.marginBody)
-		// Loss and count fold sequentially in row order, matching
-		// acc[dim] += loss; acc[dim+1]++ per point.
-		loss := sc.loss[:n]
-		for i := range loss {
-			lossSum += loss[i]
-		}
+	sc.rowCuts = m.rowCutsInto(sc.rowCuts, rows, n, workers)
+	// Phase A: per-row multiplier + loss, row-sharded. Every per-row
+	// value is independent of the sharding.
+	ParallelFor(workers, workers, sc.marginBody)
+	// Loss and count fold sequentially in row order, matching
+	// acc[dim] += loss; acc[dim+1]++ per point.
+	for _, l := range sc.loss[:n] {
+		lossSum += l
 	}
 	// Phase B: column-sharded scatter. Full-batch passes walk the
 	// cached CSC view — each worker touches only the entries of its own
@@ -316,45 +301,6 @@ func (sc *csrScratch) marginRange(lo, hi int) {
 		d := csrDot1(offs, idx, vals, w, r)
 		sc.mult[i], sc.loss[i] = csrMargin(kind, labs[r], d)
 	}
-}
-
-// marginRangeFold is marginRange for a single worker owning the whole
-// batch: it writes mult only and folds the loss inline, in row order —
-// identical bits to writing loss[] and folding it afterwards, minus the
-// array round-trip.
-func (sc *csrScratch) marginRangeFold(lo, hi int) (lossSum float64) {
-	m, w := sc.m, sc.w
-	offs, idx, vals, labs := m.RowOffsets, m.Indices, m.Values, m.Labels
-	kind := sc.kind
-	rows := sc.rows
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		r0, r1, r2, r3 := i, i+1, i+2, i+3
-		if rows != nil {
-			r0, r1, r2, r3 = int(rows[i]), int(rows[i+1]), int(rows[i+2]), int(rows[i+3])
-		}
-		d0, d1, d2, d3 := csrDots4(offs, idx, vals, w, r0, r1, r2, r3)
-		var l0, l1, l2, l3 float64
-		sc.mult[i], l0 = csrMargin(kind, labs[r0], d0)
-		sc.mult[i+1], l1 = csrMargin(kind, labs[r1], d1)
-		sc.mult[i+2], l2 = csrMargin(kind, labs[r2], d2)
-		sc.mult[i+3], l3 = csrMargin(kind, labs[r3], d3)
-		lossSum += l0
-		lossSum += l1
-		lossSum += l2
-		lossSum += l3
-	}
-	for ; i < hi; i++ {
-		r := i
-		if rows != nil {
-			r = int(rows[i])
-		}
-		d := csrDot1(offs, idx, vals, w, r)
-		var l float64
-		sc.mult[i], l = csrMargin(kind, labs[r], d)
-		lossSum += l
-	}
-	return lossSum
 }
 
 // csrDot1 computes one row's margin dot in the scalar path's order.

@@ -1,8 +1,10 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -371,6 +373,50 @@ func TestCSRCompressedViewBitwise(t *testing.T) {
 	}
 }
 
+// TestOneWorkerPassBuildsNoCSCView guards the packed kernels' memory
+// rule: a one-worker full-batch pass takes the fused sweep and never
+// builds the CSC view (a second, column-major copy of the partition,
+// 12 bytes per nonzero), for every gradient kind and for KMeans; a
+// two-worker pass does build it.
+func TestOneWorkerPassBuildsNoCSCView(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	built := func(m *CSRMatrix) bool { return m.csc.offs != nil }
+	const rows, dim = 300, 64
+	w := make([]float64, dim)
+	for i := range w {
+		w[i] = rng.NormFloat64()
+	}
+	for _, kc := range csrKernelKinds {
+		m := randCSR(rng, rows, dim, 0.3)
+		cum := make([]float64, dim)
+		CSRGrad(kc.kind, m, nil, w, cum, 1)
+		if built(m) {
+			t.Fatalf("%s: one-worker pass built the CSC view", kc.name)
+		}
+		CSRGrad(kc.kind, m, nil, w, cum, 2)
+		if !built(m) {
+			t.Fatalf("%s: two-worker pass did not build the CSC view", kc.name)
+		}
+	}
+	const k = 3
+	m := randCSR(rng, rows, dim, 0.3)
+	centers := make([]float64, k*dim)
+	for i := range centers {
+		centers[i] = rng.NormFloat64()
+	}
+	cNorms := make([]float64, k)
+	CSRKMeansCenterNorms(centers, k, dim, cNorms)
+	acc := make([]float64, k*dim+k+1)
+	CSRKMeans(m, centers, cNorms, k, dim, acc, 1)
+	if built(m) {
+		t.Fatal("kmeans: one-worker pass built the CSC view")
+	}
+	CSRKMeans(m, centers, cNorms, k, dim, acc, 2)
+	if !built(m) {
+		t.Fatal("kmeans: two-worker pass did not build the CSC view")
+	}
+}
+
 // TestPackedKernelOverhead is the `make overhead` gate: steady-state
 // fused gradient iterations allocate nothing, sequential or sharded.
 func TestPackedKernelOverhead(t *testing.T) {
@@ -434,15 +480,75 @@ func BenchmarkGradPerPoint(b *testing.B) {
 	b.ReportMetric(float64(m.Rows())*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 }
 
+// BenchmarkGradPacked times one full-batch kernel pass per partition
+// shape and worker count: the compute sweep's 20,000 × 1,000 shape,
+// and one partition of each e2ebench workload (lr-avazu-split:
+// 112,516 rows × 10,000 columns × 15 nonzeros, logistic;
+// svm-kdd10: 5,000 × 1,010,841 × 30, hinge). c1 is the fused sweep a
+// one-core executor runs; c2 and c4 are the two-phase margin + CSC
+// scatter path. Run with
+//
+//	go test -run '^$' -bench GradPacked ./internal/linalg
 func BenchmarkGradPacked(b *testing.B) {
-	m, w := benchCSR(20000, 1000)
-	cum := make([]float64, m.Dim)
-	for _, workers := range []int{1, 4} {
-		b.Run(map[int]string{1: "c1", 4: "c4"}[workers], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				CSRGrad(CSRLogistic, m, nil, w, cum, workers)
+	shapes := []struct {
+		name    string
+		kind    CSRGradKind
+		build   func() (*CSRMatrix, []float64)
+		workers []int
+	}{
+		{"sweep", CSRLogistic, func() (*CSRMatrix, []float64) { return benchCSR(20000, 1000) }, []int{1, 4}},
+		{"avazu", CSRLogistic, func() (*CSRMatrix, []float64) { return benchUniform(112516, 10000, 15) }, []int{1, 2}},
+		{"kdd10", CSRHinge, func() (*CSRMatrix, []float64) { return benchUniform(5000, 1010841, 30) }, []int{1, 2}},
+	}
+	for _, s := range shapes {
+		b.Run(s.name, func(b *testing.B) {
+			m, w := s.build()
+			cum := make([]float64, m.Dim)
+			for _, workers := range s.workers {
+				b.Run(fmt.Sprintf("c%d", workers), func(b *testing.B) {
+					CSRGrad(s.kind, m, nil, w, cum, workers) // build the CSC view, warm the scratch pool
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						CSRGrad(s.kind, m, nil, w, cum, workers)
+					}
+					b.ReportMetric(float64(m.Rows())*float64(b.N)/b.Elapsed().Seconds(), "points/s")
+				})
 			}
-			b.ReportMetric(float64(m.Rows())*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 		})
 	}
+}
+
+// benchUniform builds a labeled partition the way the e2ebench data
+// generator draws one: each row holds nnz ±25% distinct, uniformly
+// random columns, ascending, with N(0,1) values. It returns the matrix
+// and random weights.
+func benchUniform(rows, dim, nnz int) (*CSRMatrix, []float64) {
+	rng := rand.New(rand.NewSource(7))
+	b := NewCSRBuilder(dim, rows, rows*nnz)
+	row := make([]int32, 0, 2*nnz)
+	for r := 0; r < rows; r++ {
+		b.StartRow(float64(rng.Intn(2)))
+		k := nnz + rng.Intn(nnz/2+1) - nnz/4
+		row = row[:0]
+		for len(row) < k {
+			if j := int32(rng.Intn(dim)); !slices.Contains(row, j) {
+				row = append(row, j)
+			}
+		}
+		slices.Sort(row)
+		for _, j := range row {
+			if err := b.AppendEntry(j, rng.NormFloat64()); err != nil {
+				panic(err)
+			}
+		}
+	}
+	m, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	w := make([]float64, dim)
+	for i := range w {
+		w[i] = 0.1 * rng.NormFloat64()
+	}
+	return m, w
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"sparker/internal/comm"
+	"sparker/internal/membership"
 	"sparker/internal/metrics"
 	"sparker/internal/sched"
 	"sparker/internal/trace"
@@ -574,20 +575,47 @@ func (ctx *Context) submitWholeRetry(spec JobSpec, policy sched.PlacementPolicy)
 	}}, nil
 }
 
-// runCleanup runs cleanup once on every live executor.
+// maxCleanupReplans bounds how often runCleanup re-plans over a newer
+// view. Each re-plan needs an installed epoch that lost a member of the
+// previous plan, so the bound only caps back-to-back evictions.
+const maxCleanupReplans = 3
+
+// runCleanup runs cleanup once on every live executor. An executor that
+// dies after the placement is planned fails the job, but its state died
+// with it: the cleanup is rerun over the first installed view that
+// evicts a planned executor, which clears every survivor again
+// (cleanups are idempotent). A failure that no eviction follows within
+// memberOpTimeout is returned.
 func (ctx *Context) runCleanup(cleanup func(ec *ExecContext) error) error {
-	placement := append([]int(nil), ctx.LiveExecutors()...)
-	if len(placement) == 0 {
-		return nil
+	for replan := 0; ; replan++ {
+		view := ctx.Membership()
+		placement := append([]int(nil), view.Live()...)
+		if len(placement) == 0 {
+			return nil
+		}
+		_, err := ctx.RunJob(JobSpec{
+			Tasks:     len(placement),
+			Placement: placement,
+			Fn: func(ec *ExecContext, task, attempt int) ([]byte, error) {
+				return nil, cleanup(ec)
+			},
+		})
+		if err == nil || replan == maxCleanupReplans ||
+			!(errors.Is(err, sched.ErrExecutorLost) || errors.Is(err, comm.ErrPeerDown)) {
+			return err
+		}
+		evicted := ctx.awaitInstalled(func(cv *clusterView) bool {
+			for _, id := range placement {
+				if !membership.SameIncarnation(view, cv.view, id) {
+					return true
+				}
+			}
+			return false
+		}, memberOpTimeout)
+		if !evicted {
+			return err
+		}
 	}
-	_, err := ctx.RunJob(JobSpec{
-		Tasks:     len(placement),
-		Placement: placement,
-		Fn: func(ec *ExecContext, task, attempt int) ([]byte, error) {
-			return nil, cleanup(ec)
-		},
-	})
-	return err
 }
 
 // RunOnAllExecutors runs fn once per live executor and returns the

@@ -10,11 +10,13 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sparker/internal/membership"
 	"sparker/internal/sched"
+	"sparker/internal/transport"
 )
 
 // awaitLive waits until the installed epoch's live count reaches n.
@@ -422,4 +424,99 @@ func TestElasticMembershipViewAndGauges(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// TestElasticCleanupOverEvictedExecutor pins the whole-stage retry of a
+// reduced-result stage against a dying executor: its task channel goes
+// first, so the stage fails, and the stage cleanup is planned while
+// the installed view still lists it (its ctrl conn, and with it the
+// eviction, outlives the task channel). Only once the cleanup job has
+// dialed it is the executor killed outright. Its state died with it,
+// so the cleanup must be rerun over the view that evicts it and the
+// stage must then succeed on the survivors, not fail with "stage
+// cleanup failed".
+func TestElasticCleanupOverEvictedExecutor(t *testing.T) {
+	const dying = 2
+	name := "t-" + t.Name()
+	// The stage's single attempt dials the dying executor's task
+	// channel once; the second dial comes from the cleanup job, whose
+	// placement was taken from a view that still lists the executor.
+	dyingAddr := taskAddr(name, dying)
+	var dials atomic.Int32
+	cleanupDialed := make(chan struct{})
+	var once sync.Once
+	net := &dialHookNetwork{Network: transport.NewMem(), hook: func(a transport.Addr) {
+		if a == dyingAddr && dials.Add(1) == 2 {
+			once.Do(func() { close(cleanupDialed) })
+		}
+	}}
+	t.Cleanup(func() { net.Close() })
+	ctx, err := NewContext(Config{Name: name, NumExecutors: 3, CoresPerExecutor: 1, Network: net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ctx.Close() })
+	e0 := ctx.MembershipEpoch()
+	// Sever only the task channel: launches to the executor fail as a
+	// down peer while its heartbeats keep it in the installed view.
+	ctx.executorAt(dying).lis.Close()
+	ctx.closeExecutorConns(dying)
+
+	var mu sync.Mutex
+	cleaned := map[int]int{}
+	killed := make(chan struct{})
+	go func() {
+		defer close(killed)
+		<-cleanupDialed
+		if err := ctx.KillExecutor(dying); err != nil {
+			t.Errorf("kill: %v", err)
+		}
+	}()
+	out, err := ctx.RunJob(JobSpec{
+		Tasks: 3,
+		Fn: func(ec *ExecContext, task, attempt int) ([]byte, error) {
+			return []byte{byte(ec.ID), byte(attempt)}, nil
+		},
+		StageCleanup: func(ec *ExecContext) error {
+			mu.Lock()
+			cleaned[ec.ID]++
+			mu.Unlock()
+			return nil
+		},
+	})
+	once.Do(func() { close(cleanupDialed) })
+	<-killed
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.MembershipEpoch() == e0 || ctx.Membership().IsLive(dying) {
+		t.Fatal("executor was not evicted")
+	}
+	for task, p := range out {
+		if p[0] == dying || p[1] == 0 {
+			t.Fatalf("task %d ran on executor %d at attempt %d, want a survivor after the retry", task, p[0], p[1])
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if cleaned[dying] != 0 {
+		t.Fatalf("cleanup ran on the dying executor: %v", cleaned)
+	}
+	for _, id := range []int{0, 1} {
+		if cleaned[id] == 0 {
+			t.Fatalf("survivor %d was never cleaned: %v", id, cleaned)
+		}
+	}
+}
+
+// dialHookNetwork calls hook after every Dial, whatever its outcome.
+type dialHookNetwork struct {
+	transport.Network
+	hook func(transport.Addr)
+}
+
+func (n *dialHookNetwork) Dial(a transport.Addr) (transport.Conn, error) {
+	c, err := n.Network.Dial(a)
+	n.hook(a)
+	return c, err
 }
